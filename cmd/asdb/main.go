@@ -1,30 +1,37 @@
-// Command asdb is a local REPL over an embedded accuracy-aware uncertain
-// stream database — no server needed. It accepts the same STREAM / QUERY /
-// INSERT / LOAD / STATS / EXPLAIN / CLOSE commands as the network protocol,
-// executes them against an in-process engine, and prints results (with
-// accuracy information) immediately.
+// Command asdb is the interactive shell of the accuracy-aware uncertain
+// stream database. It speaks the network protocol of repro/internal/server:
+// each command line goes to a server session and the server's OK / ERR /
+// DATA lines are printed as they arrive. By default the server is embedded
+// in the process (no TCP port is opened); with -connect the shell is a
+// client of a running asdbd instead.
 //
 // Usage:
 //
-//	asdb [-level 0.9] [-method analytical] [-seed 1] [-f script.asdb] [-batch]
+//	asdb [-level 0.9] [-method analytical] [-seed 1] [-workers N]
 //	     [-data-dir DIR] [-fsync always|interval|none] [-checkpoint-every N]
+//	     [-debug-addr ADDR] [-f script.asdb] [-batch]
+//	asdb -connect HOST:PORT [-f script.asdb] [-batch]
 //
 // With -f, commands are read from the file before the interactive prompt
-// starts; -batch exits after the script.
+// starts, stopping at the first ERR (reported as file:line, exit status 1);
+// -batch exits after the script.
 //
-// With -data-dir the session is durable: commands are journaled to a
-// write-ahead log and the engine is checkpointed, so a later asdb run with
-// the same -data-dir (and same engine flags) resumes exactly where this
-// one stopped — windows, learned distributions, and RNG states included.
+// With -data-dir the embedded server is durable exactly like asdbd's: a
+// later asdb (or asdbd) run with the same -data-dir and engine flags
+// resumes where this one stopped — windows, learned distributions, and RNG
+// states included. Ending the input keeps the session's queries (they are
+// re-ATTACHed on the next start); QUIT drops them like a disconnecting
+// client. The engine and durability flags configure the embedded server,
+// so they cannot be combined with -connect.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -42,79 +49,74 @@ func main() {
 	fsyncPolicy := flag.String("fsync", "interval", "WAL fsync policy: always | interval | none")
 	ckEvery := flag.Int("checkpoint-every", 1024, "checkpoint after this many journaled commands")
 	debugAddr := flag.String("debug-addr", "", "HTTP observability listener (/debug/metrics, /debug/vars, /debug/pprof); empty disables")
+	connect := flag.String("connect", "", "connect to the asdbd at this address instead of embedding a server")
 	flag.Parse()
 
-	if *debugAddr != "" {
-		metrics.Default.PublishExpvar("asdb")
-		http.Handle("/debug/metrics", metrics.Default.Handler())
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "asdb: debug listener: %v\n", err)
+	var (
+		sh  *repl.Shell
+		err error
+	)
+	if *connect != "" {
+		var local []string
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != "connect" && f.Name != "f" && f.Name != "batch" {
+				local = append(local, "-"+f.Name)
 			}
-		}()
+		})
+		if len(local) > 0 {
+			fmt.Fprintf(os.Stderr, "asdb: -connect cannot be combined with %s (they configure the embedded server)\n",
+				strings.Join(local, " "))
+			os.Exit(2)
+		}
+		sh, err = repl.Dial(*connect, os.Stdout)
+	} else {
+		if *debugAddr != "" {
+			metrics.Default.PublishExpvar("asdb")
+			http.Handle("/debug/metrics", metrics.Default.Handler())
+			go func() {
+				if err := http.ListenAndServe(*debugAddr, nil); err != nil {
+					fmt.Fprintf(os.Stderr, "asdb: debug listener: %v\n", err)
+				}
+			}()
+		}
+		var m core.AccuracyMethod
+		switch *method {
+		case "none":
+			m = core.AccuracyNone
+		case "analytical":
+			m = core.AccuracyAnalytical
+		case "bootstrap":
+			m = core.AccuracyBootstrap
+		default:
+			fmt.Fprintf(os.Stderr, "asdb: unknown method %q\n", *method)
+			os.Exit(2)
+		}
+		sh, err = repl.Open(core.Config{
+			Level: *level, Method: m, Seed: *seed, Workers: *workers,
+			DataDir: *dataDir, FsyncPolicy: *fsyncPolicy, CheckpointEvery: *ckEvery,
+		}, os.Stdout)
 	}
-
-	var m core.AccuracyMethod
-	switch *method {
-	case "none":
-		m = core.AccuracyNone
-	case "analytical":
-		m = core.AccuracyAnalytical
-	case "bootstrap":
-		m = core.AccuracyBootstrap
-	default:
-		fmt.Fprintf(os.Stderr, "asdb: unknown method %q\n", *method)
-		os.Exit(2)
-	}
-	r, err := repl.New(core.Config{
-		Level: *level, Method: m, Seed: *seed, Workers: *workers,
-		DataDir: *dataDir, FsyncPolicy: *fsyncPolicy, CheckpointEvery: *ckEvery,
-	}, os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "asdb: %v\n", err)
 		os.Exit(1)
 	}
-	// fail flushes durable state before exiting (os.Exit skips defers).
-	fail := func(format string, args ...any) {
-		if cerr := r.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "asdb: close: %v\n", cerr)
-		}
-		fmt.Fprintf(os.Stderr, format, args...)
-		os.Exit(1)
-	}
+	status := 0
 	if *script != "" {
-		f, err := os.Open(*script)
-		if err != nil {
-			fail("asdb: %v\n", err)
+		if err := sh.RunFile(*script); err != nil {
+			fmt.Fprintf(os.Stderr, "asdb: %v\n", err)
+			status = 1
 		}
-		scanner := bufio.NewScanner(f)
-		scanner.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-		lineNo := 0
-		for scanner.Scan() {
-			lineNo++
-			if err := r.Exec(scanner.Text()); err != nil {
-				f.Close()
-				fail("asdb: %s:%d: %v\n", *script, lineNo, err)
-			}
-		}
-		f.Close()
 	}
-	if !*batch {
+	if status == 0 && !*batch {
 		fmt.Fprintln(os.Stderr, "asdb — accuracy-aware uncertain stream database (HELP for commands, ctrl-D to exit)")
-		in := bufio.NewScanner(os.Stdin)
-		in.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-		for {
-			fmt.Fprint(os.Stderr, "asdb> ")
-			if !in.Scan() {
-				break
-			}
-			if err := r.Exec(in.Text()); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			}
+		if err := sh.Run(os.Stdin, "stdin", os.Stderr); err != nil {
+			fmt.Fprintf(os.Stderr, "asdb: %v\n", err)
+			status = 1
 		}
 	}
-	if err := r.Close(); err != nil {
+	if err := sh.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "asdb: close: %v\n", err)
-		os.Exit(1)
+		status = 1
 	}
+	os.Exit(status)
 }

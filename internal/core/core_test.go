@@ -171,8 +171,18 @@ func TestSelectStarPassthrough(t *testing.T) {
 	if res[0].Fields["delay"] == nil || res[0].Fields["delay2"] == nil {
 		t.Fatalf("missing accuracy info: %v", res[0].Fields)
 	}
-	if res[0].Fields["delay"].N != 3 {
-		t.Errorf("delay accuracy n = %d, want 3", res[0].Fields["delay"].N)
+	info := res[0].Fields["delay"]
+	if info.N != 3 || info.Level != 0.9 || !info.Mean.Contains(60) {
+		t.Errorf("delay accuracy: n = %d, level = %v, mean interval %+v; want n 3 at 0.9 around 60",
+			info.N, info.Level, info.Mean)
+	}
+	// A field with no sample size passes through without accuracy info.
+	res, err = q.Push(trafficTuple(t, e, 19, 60, 3, 55, 0))
+	if err != nil || len(res) != 1 {
+		t.Fatal(err)
+	}
+	if res[0].Fields["delay2"] != nil {
+		t.Errorf("accuracy info for an n = 0 field: %+v", res[0].Fields["delay2"])
 	}
 }
 
@@ -242,6 +252,21 @@ func TestNonlinearExpressionMonteCarlo(t *testing.T) {
 	if info == nil || info.Method != "bootstrap" {
 		t.Fatalf("bootstrap info: %+v", info)
 	}
+
+	// A computed column keeps its input's d.f. size: E[X²] = μ² + σ².
+	q2, err := e.Compile("SELECT SQUARE(delay) AS sq FROM traffic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = q2.Push(trafficTuple(t, e, 1, 60, 20, 0, 20))
+	if err != nil || len(res) != 1 {
+		t.Fatal(err)
+	}
+	sq := res[0].Tuple.Fields[0]
+	approx(t, "SQUARE mean", sq.Dist.Mean(), 60*60+100, 150) // Monte Carlo
+	if sq.N != 20 {
+		t.Errorf("SQUARE d.f. size = %d, want 20", sq.N)
+	}
 }
 
 func TestPossibleWorldFilter(t *testing.T) {
@@ -268,6 +293,19 @@ func TestPossibleWorldFilter(t *testing.T) {
 	// 90% interval: 0.5 ± 1.645·sqrt(0.25/20) = 0.5 ± 0.184.
 	approx(t, "prob interval lo", out.TupleProb.Lo, 0.316, 0.005)
 	approx(t, "prob interval hi", out.TupleProb.Hi, 0.684, 0.005)
+
+	// An input that already carries tuple uncertainty keeps the smaller
+	// d.f. sample size (Lemma 3): min(incoming 8, field 30) = 8.
+	uncertain := trafficTuple(t, e, 2, 60, 30, 40, 30)
+	uncertain.Prob, uncertain.ProbN = 0.8, 8
+	res, err = q.Push(uncertain)
+	if err != nil || len(res) != 1 {
+		t.Fatal(err)
+	}
+	approx(t, "uncertain tuple prob", res[0].Tuple.Prob, 0.4, 1e-9)
+	if res[0].Tuple.ProbN != 8 {
+		t.Errorf("ProbN = %d, want min(8, 30) = 8", res[0].Tuple.ProbN)
+	}
 }
 
 func TestImpossibleFilterDrops(t *testing.T) {

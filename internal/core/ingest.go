@@ -63,7 +63,8 @@ type QueryResults struct {
 // Bind registers a compiled query under id with the shards of its input
 // stream(s), so IngestBatch routes matching tuples into it. Bind performs
 // no shard locking itself: callers must either hold Exclusive (the server's
-// control plane) or be single-threaded with respect to ingest (the REPL).
+// control plane) or be single-threaded with respect to ingest (recovery
+// replay).
 func (e *Engine) Bind(id string, q *Query) error {
 	if q == nil {
 		return errors.New("core: nil query")

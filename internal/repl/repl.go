@@ -1,546 +1,229 @@
-// Package repl implements the interactive shell over an embedded engine —
-// the logic behind cmd/asdb, factored out so it can be tested. It accepts
-// the same STREAM / QUERY / INSERT / INSERTBATCH / LOAD / STATS / EXPLAIN /
-// CLOSE commands as the network protocol and prints results (with accuracy
-// information) to its output writer.
+// Package repl is the asdb shell: a line client of one server.Server
+// session, factored out of cmd/asdb so it can be tested. Every command
+// except HELP and LOAD goes to the server's dispatcher unchanged, and every
+// line the server sends back — OK, ERR and DATA — is printed unchanged.
 //
-// With Config.DataDir set the REPL is durable: state-changing commands are
-// journaled to a write-ahead log and the engine is checkpointed
-// periodically, exactly like the network daemon. On startup the REPL
-// recovers the latest checkpoint plus the WAL suffix (replay output is
-// suppressed — those results were already printed by the previous run).
-// LOAD and INSERTBATCH are journaled as one WAL batch of per-tuple insert
-// records (one fsync for the whole batch under fsync=always), so replaying
-// a LOAD does not need the source CSV to still exist, and a crash
-// mid-batch recovers the durable prefix of the batch.
+// Open runs the session against an embedded server (server.NewDurable over
+// one end of a net.Pipe, so no TCP port is opened); Dial connects to a
+// running asdbd. Both modes run the same server code: the same dispatcher,
+// journal format, recovery and render path.
 package repl
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/ingest"
-	"repro/internal/metrics"
 	"repro/internal/randvar"
 	"repro/internal/server"
-	"repro/internal/wal"
 )
 
-// loadChunk is how many tuples LOAD pushes (and journals) per engine
-// batch: large enough to amortize lock and fsync costs, small enough to
-// keep result output flowing.
+// loadChunk is how many tuples LOAD sends per INSERTBATCH: large enough to
+// amortize the round trip and the WAL fsync, small enough to keep result
+// output flowing. Each chunk is one journaled batch, so a crash during LOAD
+// keeps a prefix of whole acknowledged chunks.
 const loadChunk = 128
 
-// REPL owns the embedded engine and registered queries. Not safe for
-// concurrent use.
-type REPL struct {
-	eng     *core.Engine
-	queries map[string]*replQuery
-	out     io.Writer
-	// OpenFile loads CSVs for the LOAD command; defaults to os.Open and
-	// is injectable for tests.
+// maxLine matches the server's cap on one protocol line.
+const maxLine = 16 << 20
+
+// ErrClosed reports that the session's connection is gone (QUIT, a
+// stopped server, or a broken link).
+var ErrClosed = errors.New("session closed")
+
+// HelpText describes the commands.
+const HelpText = `commands (everything but HELP and LOAD runs on the server):
+  STREAM  <name> <col>[:dist] ...   register a stream
+  QUERY   <id> <sql>                compile a continuous query
+  INSERT  <stream> [t=<ts>] <field> ...
+                                    push a tuple (fields: 12.5 | N(mu,s2,n) |
+                                    S(v;v;...) | H(e,e|c,c)); t= sets its time
+                                    in unix seconds for WINDOW n SECONDS
+  INSERTBATCH <stream> [t=<ts>] <field> ... | [t=<ts>] <field> ...
+                                    push several tuples in one engine batch
+                                    ("|" separates tuples; one WAL record)
+  LOAD    <stream> <file> KEY <col> VALUE <col> [TIME <col>]
+                                    learn per-key distributions from a CSV and
+                                    insert them, 128 tuples per INSERTBATCH
+  EXPLAIN <id> [TIMING]             compiled plan (TIMING adds node-local
+                                    per-stage counters)
+  STATS   <id>                      query counters
+  METRICS [<id>]                    process metrics, or one query's accuracy
+                                    telemetry (JSON)
+  CLOSE   <id>                      drop a query
+  ATTACH  <id> | SUBSCRIBE <id>     take or share delivery of a query's DATA
+  SHED [<level>] | ROLE | PING      load shedding, replication role, liveness
+  QUIT                              end the session like a disconnecting
+                                    client: the server drops its queries (end
+                                    the input instead to keep them)
+  HELP                              this text
+`
+
+// Shell is one session. Exec and Run are not safe for concurrent use.
+type Shell struct {
+	// OpenFile opens LOAD's CSV; defaults to os.Open and is injectable for
+	// tests.
 	OpenFile func(string) (io.ReadCloser, error)
 
-	wal     *wal.Log
-	ck      *checkpoint.Manager
-	ckEvery int
-	sinceCk int
+	conn net.Conn
+	out  *syncWriter
+	// replies carries the OK/ERR lines, one per request. Its one slot holds
+	// a reply no request waits for (the server's connection-limit ERR), so
+	// the reader does not block on it.
+	replies chan string
+	done    chan struct{}  // closed when the reader goroutine exits
+	srv     *server.Server // embedded session only
 }
 
-type replQuery struct {
-	query   *core.Query
-	sqlText string
-}
-
-// New builds a REPL over a fresh engine, recovering durable state when the
-// configuration names a data directory.
-func New(cfg core.Config, out io.Writer) (*REPL, error) {
+// Open starts an embedded server over cfg — recovering cfg.DataDir when it
+// is set — and returns a session on it. Queries recovered from the data
+// directory are ATTACHed, so their results print in this session again.
+func Open(cfg core.Config, out io.Writer) (*Shell, error) {
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &REPL{
-		eng:      eng,
-		queries:  make(map[string]*replQuery),
-		out:      out,
-		OpenFile: func(path string) (io.ReadCloser, error) { return os.Open(path) },
-	}
-	cfg = eng.Config()
-	if cfg.DataDir == "" {
-		return r, nil
-	}
-	policy, err := wal.ParseFsyncPolicy(cfg.FsyncPolicy)
+	srv, err := server.NewDurable(eng, nil)
 	if err != nil {
 		return nil, err
 	}
-	ckm, err := checkpoint.NewManager(filepath.Join(cfg.DataDir, "checkpoints"))
-	if err != nil {
-		return nil, err
-	}
-	snap, err := ckm.LoadLatest()
-	if err != nil {
-		return nil, err
-	}
-	// Recovery mode reroutes steady-state ingest metrics to a dedicated
-	// counter so the recovered process reports the same values as one
-	// that never crashed.
-	eng.SetRecovering(true)
-	defer eng.SetRecovering(false)
-	from := uint64(1)
-	if snap != nil {
-		restored, err := checkpoint.Restore(eng, snap)
-		if err != nil {
-			return nil, fmt.Errorf("repl: restoring checkpoint (lsn %d): %w", snap.LSN, err)
+	// The peer is in-process: an idle prompt or a paused pager must not
+	// disconnect the session, which would drop (and journal a CLOSE for)
+	// every query it owns.
+	srv.SetOptions(server.Options{IdleTimeout: -1, WriteTimeout: -1})
+	client, end := net.Pipe()
+	go srv.ServeConn(end)
+	s := newShell(client, out)
+	s.srv = srv
+	for _, id := range srv.QueryIDs() {
+		if err := s.Exec("ATTACH " + id); err != nil {
+			s.Close()
+			return nil, err
 		}
-		for _, q := range restored {
-			if err := eng.Bind(q.ID, q.Query); err != nil {
-				return nil, fmt.Errorf("repl: restored query %s: %w", q.ID, err)
-			}
-			r.queries[q.ID] = &replQuery{query: q.Query, sqlText: q.SQL}
-		}
-		from = snap.LSN + 1
 	}
-	wlog, err := wal.Open(filepath.Join(cfg.DataDir, "wal"), wal.Options{Policy: policy})
-	if err != nil {
-		return nil, err
-	}
-	// Replay with output suppressed: the previous run already printed
-	// these results, and recovery must be silent besides its summary.
-	liveOut := r.out
-	r.out = io.Discard
-	replayErr := wlog.Replay(from, r.applyRecord)
-	r.out = liveOut
-	if replayErr != nil {
-		wlog.Close()
-		return nil, fmt.Errorf("repl: wal replay: %w", replayErr)
-	}
-	r.wal = wlog
-	r.ck = ckm
-	r.ckEvery = cfg.CheckpointEvery
-	if snap != nil || wlog.LastLSN() >= from {
-		fmt.Fprintf(r.out, "recovered %d queries, %d streams (wal lsn %d)\n",
-			len(r.queries), len(eng.Streams()), wlog.LastLSN())
-	}
-	return r, nil
+	return s, nil
 }
 
-// Close writes a final checkpoint and closes the WAL. Safe to call on a
-// non-durable REPL and more than once.
-func (r *REPL) Close() error {
-	if r.wal == nil {
-		return nil
+// Dial returns a session on the asdbd listening at addr.
+func Dial(addr string, out io.Writer) (*Shell, error) {
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		return nil, err
 	}
+	return newShell(conn, out), nil
+}
+
+func newShell(conn net.Conn, out io.Writer) *Shell {
+	s := &Shell{
+		OpenFile: func(path string) (io.ReadCloser, error) { return os.Open(path) },
+		conn:     conn,
+		out:      &syncWriter{w: out},
+		replies:  make(chan string, 1),
+		done:     make(chan struct{}),
+	}
+	go s.read()
+	return s
+}
+
+// read prints every line the server sends and hands each OK/ERR reply to
+// the waiting command. The server writes a command's DATA lines before its
+// reply, so they are printed by the time the command returns; DATA for
+// this session's queries triggered by other clients prints as it arrives.
+func (s *Shell) read() {
+	defer close(s.done)
+	defer close(s.replies)
+	sc := bufio.NewScanner(s.conn)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	for sc.Scan() {
+		line := sc.Text()
+		s.out.print(line + "\n")
+		if strings.HasPrefix(line, "OK") || strings.HasPrefix(line, "ERR") {
+			s.replies <- line
+		}
+	}
+}
+
+// Close ends the session. An embedded server is stopped with
+// server.Detach, which journals nothing on the way out: the session's
+// queries stay registered and are ATTACHed again by the next Open of the
+// same data directory.
+func (s *Shell) Close() error {
 	var err error
-	if lsn := r.wal.LastLSN(); lsn > 0 {
-		err = r.checkpointNow(lsn)
+	if s.srv != nil {
+		err = s.srv.Detach()
 	}
-	if serr := r.wal.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := r.wal.Close(); err == nil {
-		err = cerr
-	}
-	r.wal = nil
+	s.conn.Close()
+	<-s.done
 	return err
 }
 
-// Engine exposes the underlying engine (examples and tests).
-func (r *REPL) Engine() *core.Engine { return r.eng }
-
-// HelpText describes the commands.
-const HelpText = `commands:
-  STREAM  <name> <col>[:dist] ...   register a stream
-  QUERY   <id> <sql>                compile a continuous query
-  INSERT  <stream> <field> ...      push a tuple (fields: 12.5 | N(mu,s2,n) | S(v;v;...) | H(e,e|c,c))
-  INSERTBATCH <stream> <field> ... | <field> ...
-                                    push several tuples in one engine batch
-                                    ("|" separates tuples; one WAL fsync)
-  LOAD    <stream> <file> KEY <col> VALUE <col> [TIME <col>]
-                                    learn per-key distributions from a CSV and insert them
-  EXPLAIN <id> [TIMING]             show a query's compiled plan (TIMING
-                                    adds per-stage counters; node-local)
-  STATS   <id>                      query counters
-  METRICS [<id>]                    process metrics (Prometheus text), or one
-                                    query's accuracy telemetry as JSON
-  CLOSE   <id>                      drop a query
-  ROLE                              replication role, epoch, and lag
-  HELP                              this text
-`
-
-// Exec executes one command line and prints its effects.
-func (r *REPL) Exec(line string) error {
+// Exec runs one command line; blank lines and #-comments are skipped. A
+// failed command returns an error after its ERR line has been printed.
+func (s *Shell) Exec(line string) error {
 	line = strings.TrimSpace(line)
 	if line == "" || strings.HasPrefix(line, "#") {
 		return nil
 	}
-	cmd, rest := line, ""
-	if idx := strings.IndexByte(line, ' '); idx >= 0 {
-		cmd, rest = line[:idx], strings.TrimSpace(line[idx+1:])
-	}
-	switch strings.ToUpper(cmd) {
-	case "STREAM":
-		return r.cmdStream(rest)
-	case "QUERY":
-		return r.cmdQuery(rest)
-	case "INSERT":
-		return r.cmdInsert(rest)
-	case "INSERTBATCH":
-		return r.cmdInsertBatch(rest)
-	case "LOAD":
-		return r.cmdLoad(rest)
-	case "EXPLAIN":
-		return r.cmdExplain(rest)
-	case "STATS":
-		return r.cmdStats(rest)
-	case "METRICS":
-		return r.cmdMetrics(rest)
-	case "CLOSE":
-		return r.cmdClose(rest)
-	case "ROLE":
-		return r.cmdRole()
+	verb, rest, _ := strings.Cut(line, " ")
+	switch strings.ToUpper(verb) {
 	case "HELP":
-		fmt.Fprint(r.out, HelpText)
+		s.out.print(HelpText)
 		return nil
-	}
-	return fmt.Errorf("unknown command %q (try HELP)", cmd)
-}
-
-// cmdRole reports the node's replication role in the same shape the
-// server's ROLE verb uses. The standalone REPL is always its own primary
-// at epoch 1; the verb exists so scripts written against a cluster node
-// also run here.
-func (r *REPL) cmdRole() error {
-	lsn := uint64(0)
-	if r.wal != nil {
-		lsn = r.wal.LastLSN()
-	}
-	fmt.Fprintf(r.out, "role=primary epoch=1 followers=0 last_lsn=%d lag_records=0\n", lsn)
-	return nil
-}
-
-// journal appends one record to the WAL. No-op while non-durable
-// (including during replay, before r.wal is set). Callers follow up with
-// maybeCheckpoint once the command's engine effects are complete —
-// checkpointing re-enters the engine, so it must never run inside an
-// ingest commit hook.
-func (r *REPL) journal(typ wal.RecordType, payload string) error {
-	if r.wal == nil {
-		return nil
-	}
-	if _, err := r.wal.Append(typ, []byte(payload)); err != nil {
-		return fmt.Errorf("wal append failed: %w", err)
-	}
-	r.sinceCk++
-	return nil
-}
-
-// journalBatch appends per-tuple records as one WAL batch: a single flush
-// and (under fsync=always) a single fsync for the whole batch. A crash
-// mid-batch leaves a valid prefix of records, which recovery replays —
-// matching the engine, whose durable state is exactly the committed
-// prefix.
-func (r *REPL) journalBatch(typ wal.RecordType, payloads [][]byte) error {
-	if r.wal == nil || len(payloads) == 0 {
-		return nil
-	}
-	if _, _, err := r.wal.AppendBatch(typ, payloads); err != nil {
-		return fmt.Errorf("wal append failed: %w", err)
-	}
-	r.sinceCk += len(payloads)
-	return nil
-}
-
-// maybeCheckpoint writes a checkpoint when the record cadence is due.
-func (r *REPL) maybeCheckpoint() {
-	if r.wal == nil || r.ckEvery <= 0 || r.sinceCk < r.ckEvery {
-		return
-	}
-	lsn := r.wal.LastLSN()
-	if err := r.checkpointNow(lsn); err != nil {
-		// Non-fatal: the WAL still covers everything since the last
-		// successful checkpoint.
-		fmt.Fprintf(r.out, "checkpoint at lsn %d failed: %v\n", lsn, err)
-		return
-	}
-	r.sinceCk = 0
-}
-
-func (r *REPL) checkpointNow(lsn uint64) error {
-	defs := make([]checkpoint.QueryDef, 0, len(r.queries))
-	for id, rq := range r.queries {
-		defs = append(defs, checkpoint.QueryDef{ID: id, SQL: rq.sqlText, Query: rq.query})
-	}
-	sort.Slice(defs, func(i, j int) bool { return defs[i].ID < defs[j].ID })
-	snap, err := checkpoint.Capture(r.eng, lsn, defs)
-	if err != nil {
-		return err
-	}
-	if err := r.ck.Save(snap); err != nil {
-		return err
-	}
-	if err := r.wal.TruncateThrough(lsn); err != nil {
-		fmt.Fprintf(r.out, "wal truncate through %d failed: %v\n", lsn, err)
-	}
-	return nil
-}
-
-// applyRecord re-executes one journaled command during recovery.
-func (r *REPL) applyRecord(rec wal.Record) error {
-	payload := string(rec.Payload)
-	var err error
-	switch rec.Type {
-	case wal.RecStream:
-		err = r.applyStream(payload)
-	case wal.RecQuery:
-		id, sqlText := payload, ""
-		if idx := strings.IndexByte(payload, ' '); idx >= 0 {
-			id, sqlText = payload[:idx], payload[idx+1:]
+	case "LOAD":
+		err := s.load(strings.TrimSpace(rest))
+		var se server.ServerError
+		if err != nil && !errors.Is(err, ErrClosed) && !errors.As(err, &se) {
+			s.out.print("ERR " + err.Error() + "\n")
 		}
-		err = r.applyQuery(id, sqlText)
-	case wal.RecInsert:
-		// Per-query push errors were already reported by the live run and
-		// leave deterministic state; only pre-state failures abort replay.
-		var hard bool
-		hard, err = r.applyInsertRecord(payload)
-		if !hard {
-			err = nil
+		return err
+	case "QUIT":
+		_, err := s.send(line)
+		if err == nil {
+			<-s.done // the server has dropped the session's queries
 		}
-	case wal.RecClose:
-		err = r.applyClose(payload)
-	default:
-		err = fmt.Errorf("unknown record type %d", rec.Type)
-	}
-	if err != nil {
-		return fmt.Errorf("lsn %d: %w", rec.LSN, err)
-	}
-	return nil
-}
-
-func (r *REPL) applyStream(rest string) error {
-	fields := strings.Fields(rest)
-	if len(fields) < 2 {
-		return fmt.Errorf("usage: STREAM <name> <col>[:dist] ...")
-	}
-	schema, err := server.ParseStreamDef(fields[0], fields[1:])
-	if err != nil {
 		return err
 	}
-	if err := r.eng.RegisterStream(schema); err != nil {
-		return err
-	}
-	fmt.Fprintf(r.out, "stream %s registered: %s\n", schema.Name, schema)
-	return nil
-}
-
-func (r *REPL) cmdStream(rest string) error {
-	if err := r.applyStream(rest); err != nil {
-		return err
-	}
-	if err := r.journal(wal.RecStream, rest); err != nil {
-		return err
-	}
-	r.maybeCheckpoint()
-	return nil
-}
-
-func (r *REPL) applyQuery(id, sqlText string) error {
-	if id == "" || sqlText == "" {
-		return fmt.Errorf("usage: QUERY <id> <sql>")
-	}
-	if _, dup := r.queries[id]; dup {
-		return fmt.Errorf("query id %q already in use", id)
-	}
-	q, err := r.eng.Compile(sqlText)
-	if err != nil {
-		return err
-	}
-	if err := r.eng.Bind(id, q); err != nil {
-		return err
-	}
-	r.queries[id] = &replQuery{query: q, sqlText: q.SQL()}
-	fmt.Fprintf(r.out, "query %s: %s\n", id, q)
-	return nil
-}
-
-func (r *REPL) cmdQuery(rest string) error {
-	idx := strings.IndexByte(rest, ' ')
-	if idx < 0 {
-		return fmt.Errorf("usage: QUERY <id> <sql>")
-	}
-	id, sqlText := rest[:idx], strings.TrimSpace(rest[idx+1:])
-	if err := r.applyQuery(id, sqlText); err != nil {
-		return err
-	}
-	// Journal the normalized statement so replay compiles the exact text
-	// the checkpoint will reference.
-	if err := r.journal(wal.RecQuery, id+" "+r.queries[id].sqlText); err != nil {
-		return err
-	}
-	r.maybeCheckpoint()
-	return nil
-}
-
-// insertRecord is the WAL payload of one tuple: "<stream> <ts> <spec> ...".
-func insertRecord(streamName string, row core.IngestRow) []byte {
-	specs := make([]string, len(row.Fields))
-	for i, f := range row.Fields {
-		specs[i] = server.FormatFieldSpec(f)
-	}
-	return []byte(streamName + " " + strconv.FormatInt(row.Time, 10) + " " + strings.Join(specs, " "))
-}
-
-// ingestRows pushes a batch through the engine's sharded ingest path. The
-// per-tuple WAL records are appended as one batch inside the engine's
-// commit hook (so journal order provably equals engine sequence order),
-// results are printed per query in sorted query-id order, and per-query
-// push errors are aggregated after every query has seen the batch.
-func (r *REPL) ingestRows(streamName string, rows []core.IngestRow) (int, error) {
-	payloads := make([][]byte, len(rows))
-	for i, row := range rows {
-		payloads[i] = insertRecord(streamName, row)
-	}
-	commit := func() error { return r.journalBatch(wal.RecInsert, payloads) }
-	results, err := r.eng.IngestBatch(streamName, rows, commit)
-	if err != nil {
-		return 0, err
-	}
-	emitted := 0
-	var pushErrs []string
-	for _, qr := range results {
-		if qr.Err != nil {
-			pushErrs = append(pushErrs, fmt.Sprintf("query %s: %v", qr.ID, qr.Err))
-		}
-		for _, res := range qr.Results {
-			payload, merr := json.Marshal(server.EncodeResult(res))
-			if merr != nil {
-				return emitted, merr
-			}
-			fmt.Fprintf(r.out, "%s => %s\n", qr.ID, payload)
-			emitted++
-		}
-	}
-	r.maybeCheckpoint()
-	if len(pushErrs) > 0 {
-		return emitted, errors.New(strings.Join(pushErrs, "; "))
-	}
-	return emitted, nil
-}
-
-// applyInsertRecord replays one journaled insert ("<stream> <ts> <spec>
-// ..."). hard reports whether the failure happened before engine state
-// changed (those abort recovery; per-query push errors do not).
-func (r *REPL) applyInsertRecord(payload string) (hard bool, err error) {
-	fields := strings.Fields(payload)
-	if len(fields) < 3 {
-		return true, fmt.Errorf("malformed insert record %q", payload)
-	}
-	ts, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return true, fmt.Errorf("malformed insert timestamp %q", fields[1])
-	}
-	vals := make([]randvar.Field, 0, len(fields)-2)
-	for _, spec := range fields[2:] {
-		f, err := server.ParseFieldSpec(spec)
-		if err != nil {
-			return true, err
-		}
-		vals = append(vals, f)
-	}
-	results, err := r.eng.IngestBatch(fields[0], []core.IngestRow{{Fields: vals, Time: ts}}, nil)
-	if err != nil {
-		return true, err
-	}
-	for _, qr := range results {
-		if qr.Err != nil {
-			return false, fmt.Errorf("query %s: %w", qr.ID, qr.Err)
-		}
-	}
-	return false, nil
-}
-
-func parseFieldSpecs(specs []string) ([]randvar.Field, error) {
-	vals := make([]randvar.Field, 0, len(specs))
-	for _, spec := range specs {
-		f, err := server.ParseFieldSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, f)
-	}
-	return vals, nil
-}
-
-func (r *REPL) cmdInsert(rest string) error {
-	fields := strings.Fields(rest)
-	if len(fields) < 2 {
-		return fmt.Errorf("usage: INSERT <stream> <field> ...")
-	}
-	vals, err := parseFieldSpecs(fields[1:])
-	if err != nil {
-		return err
-	}
-	_, err = r.ingestRows(fields[0], []core.IngestRow{{Fields: vals}})
+	_, err := s.send(line)
 	return err
 }
 
-func (r *REPL) cmdInsertBatch(rest string) error {
-	fields := strings.Fields(rest)
-	if len(fields) < 2 {
-		return fmt.Errorf("usage: INSERTBATCH <stream> <field> ... | <field> ...")
+// send writes one request line and waits for its reply.
+func (s *Shell) send(line string) (string, error) {
+	if _, err := io.WriteString(s.conn, line+"\n"); err != nil {
+		return "", ErrClosed
 	}
-	var rows []core.IngestRow
-	var cur []string
-	flush := func() error {
-		if len(cur) == 0 {
-			return fmt.Errorf("empty tuple in batch")
-		}
-		vals, err := parseFieldSpecs(cur)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, core.IngestRow{Fields: vals})
-		cur = cur[:0]
-		return nil
+	reply, ok := <-s.replies
+	if !ok {
+		return "", ErrClosed
 	}
-	for _, tok := range fields[1:] {
-		if tok == "|" {
-			if err := flush(); err != nil {
-				return err
-			}
-			continue
-		}
-		cur = append(cur, tok)
+	if msg, failed := strings.CutPrefix(reply, "ERR "); failed {
+		return reply, server.ServerError(msg)
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	emitted, err := r.ingestRows(fields[0], rows)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(r.out, "inserted %d tuples (%d results)\n", len(rows), emitted)
-	return nil
+	return reply, nil
 }
 
-func (r *REPL) cmdLoad(rest string) error {
+// load reads a CSV through ingest.Read and sends the learned tuples as
+// INSERTBATCH chunks of loadChunk rows.
+func (s *Shell) load(rest string) error {
 	fields := strings.Fields(rest)
-	if len(fields) < 6 || !strings.EqualFold(fields[2], "KEY") || !strings.EqualFold(fields[4], "VALUE") {
-		return fmt.Errorf("usage: LOAD <stream> <file> KEY <col> VALUE <col> [TIME <col>]")
+	if (len(fields) != 6 && len(fields) != 8) || !strings.EqualFold(fields[2], "KEY") ||
+		!strings.EqualFold(fields[4], "VALUE") || (len(fields) == 8 && !strings.EqualFold(fields[6], "TIME")) {
+		return errors.New("usage: LOAD <stream> <file> KEY <col> VALUE <col> [TIME <col>]")
 	}
 	spec := ingest.Spec{KeyColumn: fields[3], ValueColumn: fields[5]}
-	if len(fields) >= 8 && strings.EqualFold(fields[6], "TIME") {
+	if len(fields) == 8 {
 		spec.TimeColumn = fields[7]
 	}
-	f, err := r.OpenFile(fields[1])
+	f, err := s.OpenFile(fields[1])
 	if err != nil {
 		return err
 	}
@@ -549,104 +232,83 @@ func (r *REPL) cmdLoad(rest string) error {
 	if err != nil {
 		return err
 	}
-	// Chunked batches: each chunk is one engine ingest (shard locks taken
-	// once) and one WAL batch of per-tuple records (journaled so replay
-	// never re-reads the CSV; a crash mid-load recovers the durable
-	// prefix).
-	inserted, emitted := 0, 0
+	results := 0
+	var req strings.Builder
 	for start := 0; start < len(tuples); start += loadChunk {
-		end := start + loadChunk
-		if end > len(tuples) {
-			end = len(tuples)
+		req.Reset()
+		req.WriteString("INSERTBATCH " + fields[0])
+		for i, lt := range tuples[start:min(start+loadChunk, len(tuples))] {
+			if i > 0 {
+				req.WriteString(" |")
+			}
+			if spec.TimeColumn != "" {
+				req.WriteString(" t=" + strconv.FormatInt(lt.Time, 10))
+			}
+			req.WriteString(" " + server.FormatFieldSpec(randvar.Det(lt.Key)))
+			req.WriteString(" " + server.FormatFieldSpec(lt.Field))
 		}
-		rows := make([]core.IngestRow, 0, end-start)
-		for _, lt := range tuples[start:end] {
-			rows = append(rows, core.IngestRow{
-				Fields: []randvar.Field{randvar.Det(lt.Key), lt.Field},
-				Time:   lt.Time,
-			})
-		}
-		n, err := r.ingestRows(fields[0], rows)
-		emitted += n
+		reply, err := s.send(req.String())
 		if err != nil {
 			return err
 		}
-		inserted += len(rows)
+		// Every INSERTBATCH OK ends in "results=N"; the sum only feeds
+		// the summary line.
+		_, n, _ := strings.Cut(reply, "results=")
+		k, _ := strconv.Atoi(n)
+		results += k
 	}
-	fmt.Fprintf(r.out, "loaded %d tuples (%d results)\n", inserted, emitted)
+	s.out.print(fmt.Sprintf("OK loaded tuples=%d results=%d\n", len(tuples), results))
 	return nil
 }
 
-func (r *REPL) cmdExplain(rest string) error {
-	fields := strings.Fields(rest)
-	if len(fields) == 0 || len(fields) > 2 || (len(fields) == 2 && !strings.EqualFold(fields[1], "TIMING")) {
-		return errors.New("usage: EXPLAIN <id> [TIMING]")
+// Run executes commands from in, one per line, until in ends or the
+// session closes. With a non-nil prompt writer it is interactive: it
+// prompts before each line and carries on past failed commands. Without
+// one it stops at the first failure, reported as name:line.
+func (s *Shell) Run(in io.Reader, name string, prompt io.Writer) error {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	for lineNo := 1; ; lineNo++ {
+		select {
+		case <-s.done:
+			return nil // QUIT
+		default:
+		}
+		if prompt != nil {
+			fmt.Fprint(prompt, "asdb> ")
+		}
+		if !sc.Scan() {
+			return sc.Err()
+		}
+		err := s.Exec(sc.Text())
+		switch {
+		case errors.Is(err, ErrClosed):
+			return err
+		case err != nil && prompt == nil:
+			return fmt.Errorf("%s:%d: %w", name, lineNo, err)
+		}
 	}
-	rq, ok := r.queries[fields[0]]
-	if !ok {
-		return fmt.Errorf("unknown query %q", fields[0])
-	}
-	if len(fields) == 2 {
-		fmt.Fprint(r.out, rq.query.ExplainTiming())
-		return nil
-	}
-	fmt.Fprint(r.out, rq.query.Explain())
-	return nil
 }
 
-func (r *REPL) cmdStats(rest string) error {
-	rq, ok := r.queries[rest]
-	if !ok {
-		return fmt.Errorf("unknown query %q", rest)
-	}
-	st := rq.query.Stats()
-	fmt.Fprintf(r.out, "in=%d out=%d dropped=%d unsure=%d joined=%d\n",
-		st.In, st.Out, st.Dropped, st.Unsure, st.Joined)
-	return nil
-}
-
-// cmdMetrics prints the process registry as a Prometheus text page, or —
-// given a query id — that query's counters plus accuracy telemetry (rolling
-// CI half-widths, tuple-probability interval widths, d.f. sample sizes) as
-// indented JSON.
-func (r *REPL) cmdMetrics(rest string) error {
-	id := strings.TrimSpace(rest)
-	if id == "" {
-		return metrics.Default.WriteProm(r.out)
-	}
-	rq, ok := r.queries[id]
-	if !ok {
-		return fmt.Errorf("unknown query %q", id)
-	}
-	payload, err := json.MarshalIndent(struct {
-		ID        string          `json:"id"`
-		Stats     core.QueryStats `json:"stats"`
-		Telemetry core.Telemetry  `json:"telemetry"`
-	}{id, rq.query.Stats(), rq.query.Telemetry()}, "", "  ")
+// RunFile runs a script file non-interactively (see Run).
+func (s *Shell) RunFile(path string) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(r.out, "%s\n", payload)
-	return nil
+	defer f.Close()
+	return s.Run(f, path, nil)
 }
 
-func (r *REPL) applyClose(id string) error {
-	if _, ok := r.queries[id]; !ok {
-		return fmt.Errorf("unknown query %q", id)
-	}
-	delete(r.queries, id)
-	r.eng.Unbind(id)
-	fmt.Fprintf(r.out, "closed %s\n", id)
-	return nil
+// syncWriter serializes the reader goroutine's server lines with the
+// command side's local output (HELP, LOAD's summary, local errors).
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
 }
 
-func (r *REPL) cmdClose(rest string) error {
-	if err := r.applyClose(rest); err != nil {
-		return err
-	}
-	if err := r.journal(wal.RecClose, rest); err != nil {
-		return err
-	}
-	r.maybeCheckpoint()
-	return nil
+func (w *syncWriter) print(s string) {
+	w.mu.Lock()
+	io.WriteString(w.w, s)
+	w.mu.Unlock()
 }

@@ -343,3 +343,32 @@ func TestGracefulShutdownState(t *testing.T) {
 		t.Fatalf("fresh query over 3-row window emitted %d results after 1 insert", len(data))
 	}
 }
+
+// TestDetachLeavesDiskUnchanged: Detach must journal nothing — in
+// particular no CLOSE for a query a still-open connection owns — so the
+// reopened server recovers at the same LSN with the query registered and
+// ATTACHable. A stray CLOSE would also land past a rejoin's truncation
+// point, claiming an LSN of the primary's history the node never received.
+func TestDetachLeavesDiskUnchanged(t *testing.T) {
+	cfg := durableConfig(t.TempDir(), 1, 1024)
+	s, addr := startDurableServer(t, cfg)
+	tc := dialServer(t, addr)
+	tc.mustOK(crashStreamCmd)
+	tc.mustOK(crashQueryCmd)
+	tc.mustOK(crashInsertCmd(0))
+	lsn := s.WAL().LastLSN()
+	if lsn != 3 {
+		t.Fatalf("LastLSN after STREAM, QUERY, INSERT = %d, want 3", lsn)
+	}
+	if err := s.Detach(); err != nil {
+		t.Fatalf("Detach: %v", err)
+	}
+	s2, addr2 := startDurableServer(t, cfg)
+	defer s2.Close()
+	if got := s2.WAL().LastLSN(); got != lsn {
+		t.Fatalf("LastLSN after Detach and reopen = %d, want %d", got, lsn)
+	}
+	tc2 := dialServer(t, addr2)
+	defer tc2.c.Close()
+	tc2.mustOK("ATTACH q1")
+}

@@ -115,6 +115,9 @@ func FuzzProtocolDispatch(f *testing.F) {
 		"QUERY",
 		"STREAM",
 		"INSERT readings N(,,) 7",
+		"INSERT readings t=1700000000 1 N(10,4,25)",
+		"INSERTBATCH readings t=5 1 2 | t=6 3 N(1,1,4)",
+		"INSERT readings t=-1",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -11,7 +11,7 @@
 //
 //	STREAM <name> <col>[:dist] ...      register a stream schema
 //	QUERY  <id> <sql>                   compile a continuous query
-//	INSERT <stream> <field> ...         push one tuple
+//	INSERT <stream> [t=<ts>] <field> ... push one tuple
 //	INSERTBATCH <stream> <field> ... [| <field> ...]
 //	                                    push several tuples atomically;
 //	                                    "|" separates tuples. One engine
@@ -37,7 +37,9 @@
 // another live connection is an error. Attachment is transport state, not
 // database state: it is never journaled and does not survive a restart.
 //
-// Field syntax for INSERT and INSERTBATCH:
+// Field syntax for INSERT and INSERTBATCH (each tuple may open with
+// "t=<unix-seconds>", its timestamp for WINDOW n SECONDS queries; tuples
+// without it have time 0):
 //
 //	12.5                 deterministic value
 //	N(mu,sigma2,n)       Gaussian learned from n observations

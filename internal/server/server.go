@@ -179,6 +179,36 @@ func (s *Server) Serve() error {
 	}
 }
 
+// ServeConn serves one already-connected client on the calling goroutine
+// until it disconnects, sends QUIT, or the server stops. It opens no
+// listener: the asdb shell runs its embedded session this way over one end
+// of a net.Pipe. Close, Shutdown and Detach wait for it like for any
+// accepted connection.
+func (s *Server) ServeConn(nc net.Conn) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		nc.Close()
+		return
+	}
+	s.connWG.Add(1)
+	s.mu.Unlock()
+	defer s.connWG.Done()
+	s.handle(nc)
+}
+
+// QueryIDs returns the registered query ids in sorted order.
+func (s *Server) QueryIDs() []string {
+	s.mu.Lock()
+	ids := make([]string, 0, len(s.queries))
+	for id := range s.queries {
+		ids = append(ids, id)
+	}
+	s.mu.Unlock()
+	sort.Strings(ids)
+	return ids
+}
+
 // Close stops accepting, closes the listener, waits for connections to
 // finish, and finalizes durability (final checkpoint, WAL sync+close).
 func (s *Server) Close() error {
@@ -248,11 +278,17 @@ func (s *Server) Shutdown() error {
 // The fenced-rejoin path needs this — a shutdown checkpoint here would
 // capture the diverged suffix at the WAL tail and prune the records below
 // it that re-recovery at the truncation point depends on. On-disk state is
-// left exactly as the last durable append and checkpoint wrote it.
+// left exactly as the last durable append and checkpoint wrote it: every
+// query is first handed back to the detached state recovery rebuilds it
+// in, so tearing down its owner journals no CLOSE. Commands already in
+// flight on live connections still journal normally.
 func (s *Server) Detach() error {
 	s.mu.Lock()
 	s.closed = true
 	ln := s.ln
+	for _, rq := range s.queries {
+		rq.owner, rq.subs = nil, nil
+	}
 	conns := make([]net.Conn, 0, len(s.conns))
 	for _, nc := range s.conns {
 		conns = append(conns, nc)
@@ -667,11 +703,13 @@ func (s *Server) cmdQuery(c *conn, rest string) error {
 // parseInsertRows parses an ingest payload: "<stream> <field> ..." for a
 // single tuple, or — with batch set — "<stream> <field> ... | <field> ..."
 // where "|" separates tuples. Field specs never contain spaces or bare
-// "|", so the framing is unambiguous.
+// "|", so the framing is unambiguous. A tuple may open with "t=<unix
+// seconds>", its timestamp for time windows (default 0); no field spec
+// parses as that token.
 func parseInsertRows(rest string, batch bool) (string, []core.IngestRow, error) {
-	usage := "usage: INSERT <stream> <field> ..."
+	usage := "usage: INSERT <stream> [t=<unix-seconds>] <field> ..."
 	if batch {
-		usage = "usage: INSERTBATCH <stream> <field> ... [| <field> ...]"
+		usage = "usage: INSERTBATCH <stream> [t=<unix-seconds>] <field> ... [| ...]"
 	}
 	fields := strings.Fields(rest)
 	if len(fields) < 2 {
@@ -679,14 +717,27 @@ func parseInsertRows(rest string, batch bool) (string, []core.IngestRow, error) 
 	}
 	streamName := fields[0]
 	var rows []core.IngestRow
+	var (
+		ts    int64
+		timed bool
+	)
 	cur := make([]randvar.Field, 0, len(fields)-1)
 	for _, tok := range fields[1:] {
 		if batch && tok == "|" {
 			if len(cur) == 0 {
 				return "", nil, errors.New("empty tuple in batch")
 			}
-			rows = append(rows, core.IngestRow{Fields: cur})
+			rows = append(rows, core.IngestRow{Fields: cur, Time: ts})
 			cur = make([]randvar.Field, 0, cap(cur))
+			ts, timed = 0, false
+			continue
+		}
+		if len(cur) == 0 && !timed && strings.HasPrefix(tok, "t=") {
+			v, err := strconv.ParseInt(tok[2:], 10, 64)
+			if err != nil {
+				return "", nil, fmt.Errorf("bad timestamp %q", tok)
+			}
+			ts, timed = v, true
 			continue
 		}
 		f, err := ParseFieldSpec(tok)
@@ -696,9 +747,12 @@ func parseInsertRows(rest string, batch bool) (string, []core.IngestRow, error) 
 		cur = append(cur, f)
 	}
 	if len(cur) == 0 {
+		if !batch {
+			return "", nil, errors.New(usage)
+		}
 		return "", nil, errors.New("empty tuple in batch")
 	}
-	rows = append(rows, core.IngestRow{Fields: cur})
+	rows = append(rows, core.IngestRow{Fields: cur, Time: ts})
 	return streamName, rows, nil
 }
 

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -314,6 +316,46 @@ func TestWindowQueryOverProtocol(t *testing.T) {
 			}
 		case <-time.After(2 * time.Second):
 			t.Fatal("missing window result")
+		}
+	}
+}
+
+// TestWireTimestampsEvictTimeWindow: a tuple's leading t=<unix-seconds>
+// token is its timestamp, so a WINDOW n SECONDS query over TCP evicts —
+// without it every wire tuple had time 0 and the window only grew.
+func TestWireTimestampsEvictTimeWindow(t *testing.T) {
+	s, addr := startDurableServer(t, core.Config{Method: core.AccuracyAnalytical})
+	defer s.Close()
+	tc := dialServer(t, addr)
+	defer tc.c.Close()
+	tc.mustOK("STREAM s val")
+	tc.mustOK("QUERY q SELECT COUNT(val) AS n FROM s WINDOW 2 SECONDS")
+	lastCount := func(data []string) float64 {
+		t.Helper()
+		if len(data) == 0 {
+			t.Fatal("no DATA line")
+		}
+		var r ResultJSON
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(data[len(data)-1], "DATA q ")), &r); err != nil {
+			t.Fatal(err)
+		}
+		return r.Fields["n"].Mean
+	}
+	var data []string
+	for i := 0; i < 50; i++ {
+		data = tc.mustOK(fmt.Sprintf("INSERT s t=%d %d", 1000+i, i))
+	}
+	// Times 1047..1049 are within 2 s of the newest tuple.
+	if n := lastCount(data); n != 3 {
+		t.Fatalf("COUNT over a 2 s window after 50 one-second inserts = %v, want 3", n)
+	}
+	data = tc.mustOK("INSERTBATCH s t=1100 1 | t=1100 2 | t=1103 3")
+	if n := lastCount(data); n != 1 {
+		t.Fatalf("COUNT after a batch ending 3 s past its predecessors = %v, want 1", n)
+	}
+	for _, bad := range []string{"INSERT s t=x 1", "INSERT s t=1", "INSERT s t=1 t=2 1", "INSERTBATCH s 1 | t=5"} {
+		if reply, _ := tc.cmd(bad); !strings.HasPrefix(reply, "ERR ") {
+			t.Errorf("%q: got %q, want ERR", bad, reply)
 		}
 	}
 }

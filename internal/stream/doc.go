@@ -1,11 +1,13 @@
 // Package stream is the uncertain stream database substrate (§II-A): typed
 // schemas, tuples with both tuple uncertainty (a membership probability)
 // and attribute uncertainty (distribution-valued fields), sliding windows,
-// and composable push-based operators.
+// window aggregates, and the streaming learner (LearnOp). Query operators
+// — filters, projections, expressions — are compiled from SQL by package
+// core.
 //
 // Accuracy information flows with the data: every probabilistic field
 // carries the sample size its distribution was learned from, and every
-// operator derives output sample sizes via Lemma 3, so that the engine
+// query stage derives output sample sizes via Lemma 3, so that the engine
 // (package core) can attach confidence intervals to any query result.
 //
 // # Ownership contract
@@ -19,11 +21,10 @@
 //
 // Tuples:
 //
-//   - A *Tuple handed to an ingest path (Engine.Ingest, Operator.Push,
-//     CountWindow.Push, TimeWindow.Push, ColumnWindow.Push) is owned by the
-//     callee from that point on. The caller must not mutate the tuple or
-//     its Fields slice afterwards. Callers that need to keep writing must
-//     pass t.Clone().
+//   - A *Tuple handed to an ingest path (Engine.Ingest, CountWindow.Push,
+//     TimeWindow.Push, ColumnWindow.Push) is owned by the callee from that
+//     point on. The caller must not mutate the tuple or its Fields slice
+//     afterwards. Callers that need to keep writing must pass t.Clone().
 //   - Fields[i].Dist values are immutable by convention: no code in this
 //     module ever mutates a distribution after construction, which is what
 //     makes Clone's shallow copy of the Dist pointers safe.
